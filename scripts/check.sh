@@ -16,7 +16,8 @@
 #   LINT_ONLY=1 scripts/check.sh  # fast pre-commit path: lint, no tests
 #   BENCH=1 scripts/check.sh      # also run the perf-trajectory gate:
 #                                 # deterministic bench metrics vs the
-#                                 # committed bench/BENCH_wire.json
+#                                 # committed bench/BENCH_wire.json,
+#                                 # plus a short perfbench smoke run
 #   NIGHTLY=1 scripts/check.sh    # widen the 10x-client chaos lane to
 #                                 # the full seed battery
 set -euo pipefail
@@ -183,6 +184,13 @@ if [ "$BENCH" = "1" ]; then
     > /dev/null
   python3 scripts/perf_gate.py --baseline bench/BENCH_wire.json \
     --current "$wire_jsonl"
+
+  echo "== repo benchmark smoke (perfbench) =="
+  # Builds perfbench from this checkout's src/ and runs one short
+  # workload; run.py exits non-zero if the build, the output check or
+  # the metric set breaks. No number is gated here.
+  python3 perfbench/run.py --workload kv-sharded-rf3 --seed 1 --seconds 2 \
+    --trace 0 > /dev/null
 fi
 
 echo "== OK =="

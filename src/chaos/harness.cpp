@@ -656,7 +656,7 @@ ChaosReport RunChaos(const ChaosOptions& options) {
   report.forged_replies = spoofer.forged();
   for (auto& client : clients) {
     report.spoofed_rejected +=
-        client->context().client().stats().spoofed_replies;
+        client->context().client().stats().stray_wrong_source;
   }
   report.arq_delivered = arq_received.size();
   {

@@ -76,8 +76,6 @@ class Gauge {
 
   void Set(std::int64_t v) noexcept { value_ = v; }
   void Add(std::int64_t d) noexcept { value_ += d; }
-  /// Monotonic high-water convenience.
-  void Max(std::int64_t v) noexcept { value_ = std::max(value_, v); }
 
   [[nodiscard]] std::int64_t value() const noexcept { return value_; }
   operator std::int64_t() const noexcept { return value_; }  // NOLINT

@@ -27,7 +27,12 @@ void RpcClient::BindMetrics(obs::MetricsRegistry& registry) {
   registry.Attach("rpc.client.retransmissions", &stats_.retransmissions);
   registry.Attach("rpc.client.timeouts", &stats_.timeouts);
   registry.Attach("rpc.client.stray_replies", &stats_.stray_replies);
-  registry.Attach("rpc.client.spoofed_replies", &stats_.spoofed_replies);
+  registry.Attach("rpc.client.stray_replies.foreign_nonce",
+                  &stats_.stray_foreign_nonce);
+  registry.Attach("rpc.client.stray_replies.finished_call",
+                  &stats_.stray_finished_call);
+  registry.Attach("rpc.client.stray_replies.wrong_source",
+                  &stats_.stray_wrong_source);
   registry.Attach("rpc.client.deadline_expirations",
                   &stats_.deadline_expirations);
   registry.Attach("rpc.client.breaker_opens", &stats_.breaker_opens);
@@ -127,12 +132,14 @@ void RpcClient::OnDatagram(const net::Address& from, OwnedBytes payload) {
   }
   if (reply->call.client_nonce != nonce_) {
     stats_.stray_replies++;
+    stats_.stray_foreign_nonce++;
     return;
   }
   const auto it = pending_.find(reply->call.seq);
   if (it == pending_.end()) {
-    // Duplicate reply to a retransmission of a call that already finished.
+    // A duplicate reply to a call that already finished, or a forged seq.
     stats_.stray_replies++;
+    stats_.stray_finished_call++;
     return;
   }
   // Reply authentication: an attacker who guesses the nonce+seq must not
@@ -140,7 +147,7 @@ void RpcClient::OnDatagram(const net::Address& from, OwnedBytes payload) {
   // address. Only the destination we called may answer.
   if (reply_auth_ && from != it->second.dest) {
     stats_.stray_replies++;
-    stats_.spoofed_replies++;
+    stats_.stray_wrong_source++;
     PROXY_LOG(kDebug, scheduler().now(), "rpc",
               "reply for call " << reply->call.seq << " from "
                                 << from.ToString() << ", expected "

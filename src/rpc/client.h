@@ -115,24 +115,12 @@ struct CallOptions {
     retry_interval = d;
     return *this;
   }
-  CallOptions& WithMaxBackoff(SimDuration d) noexcept {
-    max_backoff = d;
-    return *this;
-  }
   CallOptions& WithoutBreaker() noexcept {
     bypass_breaker = true;
     return *this;
   }
   CallOptions& WithTrace(const obs::TraceContext& t) noexcept {
     trace = t;
-    return *this;
-  }
-  CallOptions& WithPriority(Priority p) noexcept {
-    priority = p;
-    return *this;
-  }
-  CallOptions& WithAttemptBudget(std::shared_ptr<AttemptBudget> b) noexcept {
-    attempt_budget = std::move(b);
     return *this;
   }
 };
@@ -146,8 +134,11 @@ struct ClientStats {
   obs::Counter calls_failed;  // non-OK outcome delivered to caller
   obs::Counter retransmissions;
   obs::Counter timeouts;       // calls failed specifically by timeout
-  obs::Counter stray_replies;  // reply for an unknown/finished call
-  obs::Counter spoofed_replies;  // reply from an address != call dest
+  obs::Counter stray_replies;  // replies dropped unmatched, all causes:
+  obs::Counter stray_foreign_nonce;  //   addressed to another client
+  obs::Counter stray_finished_call;  //   no pending call with that seq
+                                     //   (a duplicate, or a forged seq)
+  obs::Counter stray_wrong_source;   //   from an address != call dest
   obs::Counter deadline_expirations;  // timeouts caused by `deadline`
   obs::Counter breaker_opens;       // closed/half-open → open edges
   obs::Counter breaker_fast_fails;  // calls rejected while open

@@ -154,10 +154,6 @@ class RpcServer {
     return revoked_.contains(id);
   }
 
-  [[nodiscard]] bool HasObject(ObjectId id) const {
-    return objects_.contains(id);
-  }
-
   /// Crash-stop support: drops the at-most-once reply cache and abandons
   /// every in-flight execution — a handler started before the crash never
   /// replies or touches the cache, exactly as if the process died mid-call.

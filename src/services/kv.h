@@ -166,9 +166,6 @@ class KvService : public IKeyValue, public core::IMigratable {
     return invalidations_sent_;
   }
 
-  /// Rebinds the service to a new hosting context (after migration).
-  void AttachContext(core::Context& context) { context_ = &context; }
-
  private:
   struct Subscriber {
     net::Address sink_server;

@@ -29,7 +29,7 @@ TEST_P(FuzzSeed, RandomBytesThroughEveryDecoder) {
   for (int trial = 0; trial < 400; ++trial) {
     const Bytes junk = RandomBuffer(rng, 256);
     // None of these may crash; results are unconstrained otherwise.
-    (void)serde::UnwrapEnvelope(View(junk));
+    (void)serde::UnwrapEnvelopeView(View(junk));
     (void)rpc::PeekFrameType(View(junk));
     (void)rpc::DecodeRequest(View(junk));
     (void)rpc::DecodeReply(View(junk));

@@ -309,8 +309,14 @@ TEST_F(RpcFixture, SpoofedReplyFromWrongAddressRejected) {
   const auto resp = serde::DecodeFromBytes<EchoResponse>(View(r.payload));
   ASSERT_TRUE(resp.ok());
   EXPECT_EQ(resp->text, "real");  // the forgery did not complete the call
-  EXPECT_EQ(client->stats().spoofed_replies, 1u);
-  EXPECT_GE(client->stats().stray_replies, 1u);
+  // The forgery lands in the wrong-source cell; retransmission
+  // duplicates of the genuine reply may add finished-call strays.
+  const ClientStats& s = client->stats();
+  EXPECT_EQ(s.stray_wrong_source, 1u);
+  EXPECT_EQ(s.stray_foreign_nonce, 0u);
+  EXPECT_EQ(s.stray_replies.value(),
+            s.stray_foreign_nonce.value() + s.stray_finished_call.value() +
+                s.stray_wrong_source.value());
 }
 
 TEST_F(RpcFixture, DeadlineFailsFastUnderPartition) {
@@ -357,6 +363,19 @@ TEST_F(RpcFixture, StrayReplyIgnored) {
       rogue->Send(client->address(), EncodeReply(reply)).ok());
   sched.Run();
   EXPECT_EQ(client->stats().stray_replies, 1u);
+  EXPECT_EQ(client->stats().stray_foreign_nonce, 1u);
+  EXPECT_EQ(client->stats().stray_finished_call, 0u);
+
+  // The client's own nonce but no pending call with that seq: the
+  // duplicate-of-a-finished-call cell, not the foreign-nonce one.
+  reply.call = CallId{client->nonce(), 99};
+  ASSERT_TRUE(
+      rogue->Send(client->address(), EncodeReply(reply)).ok());
+  sched.Run();
+  EXPECT_EQ(client->stats().stray_replies, 2u);
+  EXPECT_EQ(client->stats().stray_foreign_nonce, 1u);
+  EXPECT_EQ(client->stats().stray_finished_call, 1u);
+  EXPECT_EQ(client->stats().stray_wrong_source, 0u);
 }
 
 TEST(FrameCodec, RequestReplyRoundTrip) {
