@@ -105,9 +105,7 @@ BENCHMARK(BM_DecodeNested)->Range(64, 64 << 10);
 void BM_EnvelopeWrapUnwrap(benchmark::State& state) {
   const Bytes payload = MakeFlat(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
-    serde::Writer w;
-    w.WriteRaw(View(payload));
-    Bytes framed = serde::WrapEnvelope(std::move(w));
+    Bytes framed = serde::WrapEnvelope({}, View(payload));
     auto unwrapped = serde::UnwrapEnvelopeView(View(framed));
     benchmark::DoNotOptimize(unwrapped);
   }
@@ -229,18 +227,19 @@ void EmitWireMetrics() {
          {"wall_ops_per_sec", WallOpsPerSec(dec_t0, dec_t1, kOps), false}});
 
     // wire_path: the whole one-way story as the stack runs it — marshal
-    // (adopting args), checksum-frame for the network (adopting the
-    // encoded request, gathering once), unwrap at arrival by narrowing,
-    // unmarshal borrowing. The headline bytes-copied-per-op number the
-    // trajectory tracks.
+    // (adopting args), checksum-frame the source-port header and the
+    // encoded request into one datagram buffer (the framing copy),
+    // unwrap at arrival by narrowing, unmarshal borrowing. The headline
+    // bytes-copied-per-op number the trajectory tracks.
     before = serde::WireCopyCounter().value();
     const auto rt_t0 = std::chrono::steady_clock::now();
     for (int i = 0; i < kOps; ++i) {
       rpc::RequestFrame frame = MakeFrame(size);
-      serde::Writer stack;
-      stack.WriteVarint(9);  // the transport's source-port header
-      stack.WriteRaw(rpc::EncodeRequest(std::move(frame)));
-      Bytes framed = serde::WrapEnvelope(std::move(stack));
+      const Bytes encoded_request = rpc::EncodeRequest(std::move(frame));
+      std::uint8_t header[serde::kMaxVarintBytes];  // source port
+      const std::size_t header_len = serde::PutVarint(header, 9);
+      Bytes framed = serde::WrapEnvelope(BytesView(header, header_len),
+                                         View(encoded_request));
       auto payload = serde::UnwrapEnvelopeView(View(framed));
       if (!payload.ok()) std::abort();
       serde::Reader r(*payload);

@@ -18,13 +18,17 @@
 //
 // Wall-clock events/sec is the headline number but is machine-dependent,
 // so it rides in the JSONL as informational context. The gated rows are
-// the deterministic ones: event counts, virtual-time throughput, and the
-// delivery-coalescing fraction, all derived from virtual time and
-// simulator counters (bit-identical per seed).
+// the deterministic ones: event counts, virtual-time throughput, the
+// delivery-coalescing fraction, and the echo storm's heap allocations
+// per call (a counting operator new in this binary), all bit-identical
+// per seed. The storm's host ns per call rides along ungated.
 
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <memory>
+#include <new>
 #include <vector>
 
 #include "bench_json.h"
@@ -33,6 +37,49 @@
 #include "services/counter.h"
 #include "sim/scheduler.h"
 #include "sim/task.h"
+
+namespace {
+
+// Every heap allocation in this process; the echo storm reports its
+// delta per call.
+std::uint64_t g_allocs = 0;
+
+void* CountedAlloc(std::size_t n) {
+  ++g_allocs;
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+
+void* CountedAlignedAlloc(std::size_t n, std::align_val_t align) {
+  ++g_allocs;
+  const auto a = static_cast<std::size_t>(align);
+  const std::size_t rounded = (n + a - 1) / a * a;
+  if (void* p = std::aligned_alloc(a, rounded == 0 ? a : rounded)) return p;
+  throw std::bad_alloc();
+}
+
+}  // namespace
+
+void* operator new(std::size_t n) { return CountedAlloc(n); }
+void* operator new[](std::size_t n) { return CountedAlloc(n); }
+void* operator new(std::size_t n, std::align_val_t a) {
+  return CountedAlignedAlloc(n, a);
+}
+void* operator new[](std::size_t n, std::align_val_t a) {
+  return CountedAlignedAlloc(n, a);
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
 
 using namespace proxy;            // NOLINT
 using namespace proxy::bench;     // NOLINT
@@ -141,6 +188,11 @@ struct StormResult {
   LaneResult lane;
   double msgs_per_call = 0;
   double coalesced_fraction = 0;  // arrivals riding an existing batch
+  double allocs_per_call = 0;     // heap allocations, both sides
+  double host_ns_per_call() const {
+    return lane.wall_sec * 1e9 / (static_cast<double>(kStormClients) *
+                                  kStormCallsEach);
+  }
 };
 
 sim::Co<void> StormOps(std::shared_ptr<ICounter> ctr) {
@@ -176,8 +228,9 @@ StormResult EchoStorm() {
   const SimTime virt_before = sched.now();
 
   std::vector<sim::Future<bool>> storm;
-  const auto t0 = std::chrono::steady_clock::now();
   storm.reserve(kStormClients);
+  const std::uint64_t allocs_before = g_allocs;
+  const auto t0 = std::chrono::steady_clock::now();
   for (int i = 0; i < kStormClients; ++i) {
     storm.push_back(sim::Spawn(sched, StormOps(ctr)));
   }
@@ -188,11 +241,13 @@ StormResult EchoStorm() {
     return true;
   });
   const auto t1 = std::chrono::steady_clock::now();
+  const std::uint64_t allocs = g_allocs - allocs_before;
 
   const sim::NetStats& after = w.rt->network().stats();
   constexpr double kOps =
       static_cast<double>(kStormClients) * kStormCallsEach;
   StormResult r;
+  r.allocs_per_call = static_cast<double>(allocs) / kOps;
   r.lane.events = sched.events_run() - events_before;
   r.lane.virtual_ns = sched.now() - virt_before;
   r.lane.wall_sec = WallSeconds(t0, t1);
@@ -264,11 +319,13 @@ int main() {
 
   std::printf(
       "\ncancel churn: %llu of %llu rounds cancelled a live timer\n"
-      "echo storm: %.2f msgs/call, %.1f%% of arrivals coalesced\n"
+      "echo storm: %.2f msgs/call, %.1f%% of arrivals coalesced, "
+      "%.2f allocs/call, %.2f host us/call\n"
       "chaos mixed: %zu history ops, %zu violations\n",
       static_cast<unsigned long long>(cancel.cancelled),
       static_cast<unsigned long long>(kCancelRounds), storm.msgs_per_call,
-      100.0 * storm.coalesced_fraction, mixed.history_ops, mixed.violations);
+      100.0 * storm.coalesced_fraction, storm.allocs_per_call,
+      storm.host_ns_per_call() / 1e3, mixed.history_ops, mixed.violations);
   if (mixed.violations != 0) return 1;
 
   EmitBenchJson(
@@ -292,7 +349,9 @@ int main() {
         true},
        {"msgs_per_call", storm.msgs_per_call, true},
        {"coalesced_fraction", storm.coalesced_fraction, true},
-       {"wall_events_per_sec", storm.lane.wall_events_per_sec(), false}});
+       {"allocs_per_call", storm.allocs_per_call, true},
+       {"wall_events_per_sec", storm.lane.wall_events_per_sec(), false},
+       {"host_ns_per_call", storm.host_ns_per_call(), false}});
   EmitBenchJson(
       "sim_core", "chaos_mixed",
       {{"events_run", static_cast<double>(mixed.lane.events), true},

@@ -17,6 +17,7 @@ A metric regresses when it moves past its margin in the bad direction:
     bytes_copied_per_op   must stay <= 1.1x baseline  (lower is better)
     mean_read_latency_ns  must stay <= 1.1x baseline
     msgs_per_call         must stay <= 1.1x baseline
+    allocs_per_call       must stay <= 1.1x baseline
 
 Metrics present in the baseline but absent from the current run fail the
 gate (a silently-dropped scenario is a regression in coverage). Unknown
@@ -55,6 +56,10 @@ RULES = {
     "events_per_virtual_sec": ("up", 0.9),
     "timers_cancelled": ("up", 0.9),
     "coalesced_fraction": ("up", 0.9),
+    # Heap allocations per proxied call in the F9 echo storm, counted by
+    # the bench's own operator new: deterministic per seed, so an added
+    # allocation on the hot path shows up here, not as wall-clock drift.
+    "allocs_per_call": ("down", 1.1),
 }
 
 
@@ -205,6 +210,19 @@ def self_test():
     shrunk["sim_core/rpc_echo_storm/coalesced_fraction"] = 0.0
     if len(check(sim_base, shrunk)) != 3:
         print("self-test FAIL: sim-core regressions passed")
+        return 1
+    # Allocation rule: a call path that allocates more than 10% over
+    # the trajectory must trip; one that allocates less passes.
+    alloc_base = {"sim_core/rpc_echo_storm/allocs_per_call": 22.0}
+    if check(alloc_base, dict(alloc_base)):
+        print("self-test FAIL: identical allocation count was rejected")
+        return 1
+    if check(alloc_base, {"sim_core/rpc_echo_storm/allocs_per_call": 11.0}):
+        print("self-test FAIL: fewer allocations were rejected")
+        return 1
+    if len(check(alloc_base,
+                 {"sim_core/rpc_echo_storm/allocs_per_call": 25.0})) != 1:
+        print("self-test FAIL: allocation regression passed")
         return 1
     # Malformed current-run records must produce a clear error naming the
     # offending line, not a bare KeyError traceback.

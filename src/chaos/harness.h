@@ -94,7 +94,7 @@ struct ChaosReport {
   std::size_t history_ops = 0;
   std::int64_t final_counter = -1;
   std::uint64_t forged_replies = 0;    // sent by the spoofer
-  std::uint64_t spoofed_rejected = 0;  // bounced off reply authentication
+  std::uint64_t spoofed_rejected = 0;  // counted as wrong-source strays
   std::uint64_t arq_delivered = 0;     // probe stream messages received
   std::uint64_t kv_promotions = 0;     // primary takeovers across replicas
   std::uint64_t kv_max_epoch = 0;      // highest epoch any replica reached

@@ -73,4 +73,6 @@ class OwnedBytes {
   std::size_t len_ = 0;
 };
 
+inline BytesView View(const OwnedBytes& b) noexcept { return b.view(); }
+
 }  // namespace proxy

@@ -118,8 +118,8 @@ class Batcher {
     std::vector<sim::Promise<Status>> waiters = std::move(waiters_);
     pending_.clear();
     waiters_.clear();
-    (void)sim::Spawn(*scheduler_,
-                     RunFlush(std::move(batch), std::move(waiters)));
+    sim::SpawnDetached(*scheduler_,
+                       RunFlush(std::move(batch), std::move(waiters)));
   }
 
   sim::Scheduler* scheduler_;

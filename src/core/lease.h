@@ -41,7 +41,7 @@ class LeaseMaintainer {
     state_->name = std::move(name);
     state_->binding = binding;
     state_->params = params;
-    (void)sim::Spawn(context.scheduler(), HeartbeatLoop(state_));
+    sim::SpawnDetached(context.scheduler(), HeartbeatLoop(state_));
   }
 
   LeaseMaintainer(const LeaseMaintainer&) = delete;

@@ -23,6 +23,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 
@@ -102,7 +103,8 @@ class ProxyBase {
   template <typename Resp, typename Req>
   sim::Co<Result<Resp>> Call(std::uint32_t method, Req req) {
     Bytes args = serde::EncodeToBytes(req);
-    Result<Bytes> raw = co_await CallRaw(method, std::move(args), options_);
+    Result<OwnedBytes> raw =
+        co_await CallRaw(method, std::move(args), options_);
     if (!raw.ok()) co_return raw.status();
     co_return serde::DecodeFromBytes<Resp>(View(*raw));
   }
@@ -114,22 +116,22 @@ class ProxyBase {
   sim::Co<Result<Resp>> Call(std::uint32_t method, Req req,
                              rpc::CallOptions options) {
     Bytes args = serde::EncodeToBytes(req);
-    Result<Bytes> raw =
+    Result<OwnedBytes> raw =
         co_await CallRaw(method, std::move(args), std::move(options));
     if (!raw.ok()) co_return raw.status();
     co_return serde::DecodeFromBytes<Resp>(View(*raw));
   }
 
   /// Untyped variant for proxies that marshal manually.
-  sim::Co<Result<Bytes>> CallRaw(std::uint32_t method, Bytes args) {
+  sim::Co<Result<OwnedBytes>> CallRaw(std::uint32_t method, Bytes args) {
     co_return co_await CallRaw(method, std::move(args), options_);
   }
 
   /// The invocation loop, and the system's measurement point: the proxy
   /// is where a call's whole story (forwarding hops, recoveries, final
   /// latency) is visible, so this is where the span opens and closes.
-  sim::Co<Result<Bytes>> CallRaw(std::uint32_t method, Bytes args,
-                                 rpc::CallOptions options) {
+  sim::Co<Result<OwnedBytes>> CallRaw(std::uint32_t method, Bytes args,
+                                      rpc::CallOptions options) {
     stats_.calls++;
     agg_calls_++;
     const SimTime started = context_->scheduler().now();
@@ -144,15 +146,14 @@ class ProxyBase {
     // full transport legs' worth (the original binding plus one
     // recovery rebind). Callers that span several hops over one logical
     // operation (the failover proxy's passes) pass their own budget in,
-    // and this respects it.
+    // and this respects it. The budget lives in this frame, which
+    // outlives every transport call it awaits.
+    rpc::AttemptBudget own_budget(options.max_retries * 2);
     if (options.attempt_budget == nullptr) {
-      options.attempt_budget = std::make_shared<rpc::AttemptBudget>(
-          options.max_retries * 2);
+      options.attempt_budget = &own_budget;
     }
 
-    Result<Bytes> outcome = UnavailableError(
-        "forwarding chain exceeded " + std::to_string(kMaxForwardHops) +
-        " hops");
+    std::optional<Result<OwnedBytes>> outcome;  // set by the settling hop
     bool recovery_tried = false;
     int pushback_waits = 0;
     SimDuration prev_pushback_wait = 0;
@@ -231,14 +232,19 @@ class ProxyBase {
       outcome = raw.status;
       break;
     }
-    if (!outcome.ok()) {
+    if (!outcome.has_value()) {
+      // Every hop followed a forwarding hint or a recovery rebind.
+      outcome = UnavailableError("forwarding chain exceeded " +
+                                 std::to_string(kMaxForwardHops) + " hops");
+    }
+    if (!outcome->ok()) {
       stats_.failed_calls++;
       agg_failed_++;
     }
     const SimTime ended = context_->scheduler().now();
     call_latency_.Record(ended - started);
-    spans.End(span, ended, outcome.status());
-    co_return outcome;
+    spans.End(span, ended, outcome->status());
+    co_return std::move(*outcome);
   }
 
   rpc::CallOptions options_;

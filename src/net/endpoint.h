@@ -44,9 +44,12 @@ class Endpoint {
   /// Installs the receive handler (one per endpoint).
   void SetHandler(Handler handler) { handler_ = std::move(handler); }
 
-  /// Sends a datagram. Returns an error only for local misuse (unknown
-  /// destination node, oversized payload); loss in transit is silent.
-  Status Send(const Address& to, Bytes payload);
+  /// Sends a datagram. The payload is read, not kept: the framing step
+  /// copies it into the datagram buffer, so a caller that retains its
+  /// bytes for retransmission passes them without a copy of its own.
+  /// Returns an error only for local misuse (unknown destination node,
+  /// oversized payload); loss in transit is silent.
+  Status Send(const Address& to, BytesView payload);
 
   /// Maximum payload accepted by Send.
   static constexpr std::size_t kMaxPayload = 1 << 20;  // 1 MiB
@@ -92,7 +95,7 @@ class NodeStack {
  private:
   friend class Endpoint;
 
-  Status SendFrom(const Address& from, const Address& to, Bytes payload);
+  Status SendFrom(const Address& from, const Address& to, BytesView payload);
   void OnNetworkDeliver(NodeId from_node, PortId to_port, Bytes framed);
 
   sim::Network* network_;

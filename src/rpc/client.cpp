@@ -8,6 +8,18 @@
 
 namespace proxy::rpc {
 
+namespace {
+
+/// The arrival buffer narrowed to `body`, a window of it (empty when the
+/// body is): the caller reads the reply body where it arrived.
+OwnedBytes Narrowed(OwnedBytes arrival, BytesView body) {
+  if (body.empty()) return OwnedBytes();
+  arrival.Narrow(body);
+  return arrival;
+}
+
+}  // namespace
+
 RpcClient::RpcClient(net::Endpoint& endpoint, std::uint64_t nonce)
     : RpcClient(endpoint, nonce, BreakerParams{}) {}
 
@@ -103,12 +115,16 @@ sim::Future<RpcResult> RpcClient::Call(const net::Address& to,
   }
   // The frame is built only to be encoded: hand args to the encoder's
   // buffer chain instead of re-copying them. The encoded bytes are
-  // retained for retransmission, so each (re)send explicitly copies the
-  // retained buffer — the one counted copy this layer still makes.
+  // retained for retransmission, exact-sized so a slow call pins no
+  // encoder slab slack: a gathered frame already is, one still in its
+  // slab is copied down to size (this layer's one counted copy). Every
+  // (re)send frames a view; the datagram buffer is the endpoint's.
   call.encoded_request = EncodeRequest(std::move(frame));
-
-  serde::CountWireCopy(call.encoded_request.size());
-  const Status sent = endpoint_->Send(to, call.encoded_request);
+  if (call.encoded_request.capacity() != call.encoded_request.size()) {
+    serde::CountWireCopy(call.encoded_request.size());
+    call.encoded_request.shrink_to_fit();
+  }
+  const Status sent = endpoint_->Send(to, View(call.encoded_request));
   if (!sent.ok()) {
     // Local send failure (unknown node, oversized): fail immediately.
     Finish(seq, sent);
@@ -124,7 +140,9 @@ sim::Future<RpcResult> RpcClient::Call(const net::Address& to,
 }
 
 void RpcClient::OnDatagram(const net::Address& from, OwnedBytes payload) {
-  auto reply = DecodeReply(payload.view());
+  // Borrowed decode: reply->result is a window of `payload`, which is
+  // narrowed to it and handed to the caller — the body is never copied.
+  auto reply = DecodeReplyView(payload.view());
   if (!reply.ok()) {
     PROXY_LOG(kDebug, scheduler().now(), "rpc",
               "undecodable reply: " << reply.status().ToString());
@@ -137,9 +155,19 @@ void RpcClient::OnDatagram(const net::Address& from, OwnedBytes payload) {
   }
   const auto it = pending_.find(reply->call.seq);
   if (it == pending_.end()) {
-    // A duplicate reply to a call that already finished, or a forged seq.
+    // No pending call: a late duplicate of a finished call's reply, or a
+    // forgery. Only the destination a recently finished call was sent to
+    // can send the former; a seq this client never issued, or any other
+    // sender, is the latter. A seq too old for the ring stays a
+    // duplicate — it can no longer be told apart.
     stats_.stray_replies++;
-    stats_.stray_finished_call++;
+    const std::uint64_t seq = reply->call.seq;
+    const FinishedCall& done = finished_[seq % kFinishedRing];
+    if (seq >= next_seq_ || (done.seq == seq && done.dest != from)) {
+      stats_.stray_wrong_source++;
+    } else {
+      stats_.stray_finished_call++;
+    }
     return;
   }
   // Reply authentication: an attacker who guesses the nonce+seq must not
@@ -167,13 +195,14 @@ void RpcClient::OnDatagram(const net::Address& from, OwnedBytes payload) {
     budget.tokens = std::min(retry_budget_params_.max_tokens,
                              budget.tokens +
                                  retry_budget_params_.refill_per_success);
-    Finish(reply->call.seq,
-           RpcResult(Status::Ok(), std::move(reply->result)));
+    Finish(reply->call.seq, RpcResult(Status::Ok(), Narrowed(std::move(payload),
+                                                             reply->result)));
   } else if (reply->code == StatusCode::kObjectMoved) {
     // Forwarding hint: the payload carries the new location; the caller
     // (typically a proxy) rebinds and retries.
-    Finish(reply->call.seq, RpcResult(ObjectMovedError(reply->error_message),
-                                      std::move(reply->result)));
+    Finish(reply->call.seq,
+           RpcResult(ObjectMovedError(reply->error_message),
+                     Narrowed(std::move(payload), reply->result)));
   } else if (reply->code == StatusCode::kResourceExhausted) {
     // Server pushback: surface the retry-after hint so the proxy layer
     // can back off before re-offering the work (ProxyBase::CallRaw).
@@ -243,8 +272,7 @@ void RpcClient::OnRetryTimer(std::uint64_t seq) {
   }
   call.attempts++;
   stats_.retransmissions++;
-  serde::CountWireCopy(call.encoded_request.size());
-  (void)endpoint_->Send(call.dest, call.encoded_request);
+  (void)endpoint_->Send(call.dest, View(call.encoded_request));
   const SimDuration backoff = NextBackoff(call);
   if (call.deadline != 0 &&
       scheduler().now() + backoff >= call.deadline) {
@@ -352,6 +380,7 @@ void RpcClient::Finish(std::uint64_t seq, RpcResult outcome) {
       br->second.probing = false;
     }
   }
+  finished_[seq % kFinishedRing] = FinishedCall{seq, call.dest};
   auto promise = call.promise;  // keep alive past erase
   pending_.erase(it);
   promise.Set(std::move(outcome));

@@ -20,8 +20,8 @@
 //     storms cannot amplify under partition.
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <memory>
 #include <unordered_map>
 
 #include "common/bytes.h"
@@ -43,7 +43,8 @@ namespace proxy::rpc {
 /// so failover can still walk the replica set; what it cannot do is keep
 /// hammering each dead replica once the operation's total allowance is
 /// spent. Share one instance through CallOptions::attempt_budget across
-/// the hops of one operation (see KvFailoverProxy::ReadCall/WriteCall).
+/// the hops of one operation (see KvFailoverProxy::ReadCall/WriteCall);
+/// it lives in the operation's frame, so a call allocates none.
 class AttemptBudget {
  public:
   explicit AttemptBudget(int retransmissions) noexcept
@@ -100,8 +101,10 @@ struct CallOptions {
   /// admission queue serves kHigh first and sheds kLow first.
   Priority priority = Priority::kNormal;
   /// Shared retransmission allowance for one logical operation across
-  /// nested proxy hops; null = each call retries on its own policy.
-  std::shared_ptr<AttemptBudget> attempt_budget = nullptr;
+  /// nested proxy hops; null = each call retries on its own policy. Not
+  /// owned: the operation keeps it in its own coroutine frame, which
+  /// outlives every call it awaits.
+  AttemptBudget* attempt_budget = nullptr;
 
   CallOptions& WithDeadline(SimDuration d) noexcept {
     deadline = d;
@@ -136,9 +139,10 @@ struct ClientStats {
   obs::Counter timeouts;       // calls failed specifically by timeout
   obs::Counter stray_replies;  // replies dropped unmatched, all causes:
   obs::Counter stray_foreign_nonce;  //   addressed to another client
-  obs::Counter stray_finished_call;  //   no pending call with that seq
-                                     //   (a duplicate, or a forged seq)
-  obs::Counter stray_wrong_source;   //   from an address != call dest
+  obs::Counter stray_finished_call;  //   late duplicate: a finished call,
+                                     //   from the address it was sent to
+  obs::Counter stray_wrong_source;   //   forged: from an address != call
+                                     //   dest, or a seq never issued
   obs::Counter deadline_expirations;  // timeouts caused by `deadline`
   obs::Counter breaker_opens;       // closed/half-open → open edges
   obs::Counter breaker_fast_fails;  // calls rejected while open
@@ -286,6 +290,14 @@ class RpcClient {
     bool initialized = false;
   };
 
+  /// Where a finished call was sent, kept to tell a late duplicate
+  /// reply (from that destination) from a forged one (from anyone else).
+  struct FinishedCall {
+    std::uint64_t seq = 0;  // 0 = empty slot (seqs start at 1)
+    net::Address dest;
+  };
+  static constexpr std::size_t kFinishedRing = 64;
+
   void OnDatagram(const net::Address& from, OwnedBytes payload);
   void OnRetryTimer(std::uint64_t seq);
   void OnDeadline(std::uint64_t seq);
@@ -319,6 +331,7 @@ class RpcClient {
   /// breaker fast-fails — what the caller actually waited.
   obs::Histogram call_latency_;
   std::unordered_map<std::uint64_t, PendingCall> pending_;  // by seq
+  std::array<FinishedCall, kFinishedRing> finished_{};  // by seq % size
   std::unordered_map<net::Address, Breaker> breakers_;      // by destination
   std::unordered_map<net::Address, RetryBudget> retry_budgets_;  // by dest
 };

@@ -8,32 +8,6 @@ namespace proxy::rpc {
 
 namespace {
 
-template <typename Frame>
-Bytes EncodeWithTag(FrameType type, const Frame& frame) {
-  serde::Writer w;
-  w.WriteU8(static_cast<std::uint8_t>(type));
-  serde::Serialize(w, frame);
-  return w.Take();
-}
-
-template <typename Frame>
-Result<Frame> DecodeAfterTag(FrameType expected, BytesView data) {
-  serde::Reader r(data);
-  std::uint8_t tag = 0;
-  PROXY_RETURN_IF_ERROR(r.ReadU8(tag));
-  if (tag != static_cast<std::uint8_t>(expected)) {
-    return CorruptError("unexpected frame type");
-  }
-  Frame frame;
-  PROXY_RETURN_IF_ERROR(serde::Deserialize(r, frame));
-  PROXY_RETURN_IF_ERROR(r.ExpectEnd());
-  return frame;
-}
-
-}  // namespace
-
-namespace {
-
 // Shared by the copying and adopting overloads: `args` rides separately
 // from the other v1 fields so the rvalue path can hand its buffer to the
 // chain. Bytes on the wire are identical either way.
@@ -64,10 +38,6 @@ Bytes EncodeRequest(const RequestFrame& frame) {
 
 Bytes EncodeRequest(RequestFrame&& frame) {
   return EncodeRequestWith(frame, std::move(frame.args));
-}
-
-Bytes EncodeReply(const ReplyFrame& frame) {
-  return EncodeWithTag(FrameType::kReply, frame);
 }
 
 Bytes EncodeReply(ReplyFrame&& frame) {
@@ -174,8 +144,36 @@ const char* PriorityName(Priority p) noexcept {
   return "P?";
 }
 
+Result<ReplyFrameView> DecodeReplyView(BytesView data) {
+  serde::Reader r(data);
+  std::uint8_t tag = 0;
+  PROXY_RETURN_IF_ERROR(r.ReadU8(tag));
+  if (tag != static_cast<std::uint8_t>(FrameType::kReply)) {
+    return CorruptError("unexpected frame type");
+  }
+  ReplyFrameView frame;
+  PROXY_RETURN_IF_ERROR(serde::Deserialize(r, frame.call));
+  PROXY_RETURN_IF_ERROR(serde::Deserialize(r, frame.code));
+  PROXY_RETURN_IF_ERROR(serde::Deserialize(r, frame.error_message));
+  PROXY_RETURN_IF_ERROR(serde::Deserialize(r, frame.retry_after));
+  PROXY_RETURN_IF_ERROR(r.ReadBytesView(frame.result));
+  PROXY_RETURN_IF_ERROR(r.ExpectEnd());
+  return frame;
+}
+
 Result<ReplyFrame> DecodeReply(BytesView data) {
-  return DecodeAfterTag<ReplyFrame>(FrameType::kReply, data);
+  Result<ReplyFrameView> view = DecodeReplyView(data);
+  if (!view.ok()) return view.status();
+  ReplyFrame frame;
+  frame.call = view->call;
+  frame.code = view->code;
+  frame.error_message = std::move(view->error_message);
+  frame.retry_after = view->retry_after;
+  if (!view->result.empty()) {
+    serde::CountWireCopy(view->result.size());
+    frame.result.assign(view->result.begin(), view->result.end());
+  }
+  return frame;
 }
 
 }  // namespace proxy::rpc

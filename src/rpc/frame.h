@@ -118,28 +118,42 @@ struct ReplyFrame {
   PROXY_SERDE_FIELDS(call, code, error_message, retry_after, result)
 };
 
+/// Borrowed decode of a reply: `result` is a window of the buffer handed
+/// to DecodeReplyView — no copy. The client narrows its arrival buffer
+/// to that window and hands it to the caller as the RpcResult payload.
+struct ReplyFrameView {
+  CallId call;
+  StatusCode code = StatusCode::kOk;
+  std::string error_message;
+  SimDuration retry_after = 0;
+  BytesView result;
+};
+
 /// Outcome of one RPC as seen by the caller. `payload` is the reply body
 /// when the status is OK, and the forwarding hint (an encoded new
-/// binding) when the status is OBJECT_MOVED; empty otherwise.
+/// binding) when the status is OBJECT_MOVED; empty otherwise. It is the
+/// reply's arrival buffer narrowed to that body, so the caller decodes
+/// straight out of the datagram.
 struct RpcResult {
   Status status;
-  Bytes payload;
+  OwnedBytes payload;
   /// Server pushback hint (RESOURCE_EXHAUSTED replies); 0 = none.
   SimDuration retry_after = 0;
 
   RpcResult() = default;
   RpcResult(Status s) : status(std::move(s)) {}  // NOLINT(implicit)
-  RpcResult(Status s, Bytes p) : status(std::move(s)), payload(std::move(p)) {}
+  RpcResult(Status s, OwnedBytes p)
+      : status(std::move(s)), payload(std::move(p)) {}
 
   [[nodiscard]] bool ok() const noexcept { return status.ok(); }
 };
 
-/// Encodes a frame with its type tag. The rvalue overload adopts
-/// `frame.args` into the encoder's buffer chain instead of copying it —
-/// use it when the frame is built just to be encoded (the client stub).
+/// Encodes a frame with its type tag. The rvalue overloads adopt
+/// `frame.args` / `frame.result` into the encoder's buffer chain instead
+/// of copying them — use them when the frame is built just to be
+/// encoded (the client stub, every server reply).
 Bytes EncodeRequest(const RequestFrame& frame);
 Bytes EncodeRequest(RequestFrame&& frame);
-Bytes EncodeReply(const ReplyFrame& frame);
 Bytes EncodeReply(ReplyFrame&& frame);
 
 /// Decodes the type tag, then the matching frame.
@@ -147,9 +161,11 @@ Result<FrameType> PeekFrameType(BytesView data);
 Result<RequestFrame> DecodeRequest(BytesView data);
 Result<ReplyFrame> DecodeReply(BytesView data);
 
-/// Borrowed decode: `args` in the result is a window of `data`. The
-/// caller owns `data`'s backing buffer and must keep it alive while the
-/// view is used (server dispatch holds the arrival buffer as arena).
+/// Borrowed decodes: `args` / `result` is a window of `data`. The caller
+/// owns `data`'s backing buffer and must keep it alive while the view is
+/// used (server dispatch holds the arrival buffer as arena; the client
+/// hands it to the caller as the RpcResult payload).
 Result<RequestFrameView> DecodeRequestView(BytesView data);
+Result<ReplyFrameView> DecodeReplyView(BytesView data);
 
 }  // namespace proxy::rpc

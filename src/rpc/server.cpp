@@ -93,17 +93,16 @@ void RpcServer::OnDatagram(const net::Address& from, OwnedBytes payload) {
   ClientHistory& hist = history_[request->call.client_nonce];
   const std::uint64_t seq = request->call.seq;
 
-  // At-most-once: answer retransmissions from the cache...
-  if (const auto cached = hist.replies.find(seq);
-      cached != hist.replies.end()) {
-    stats_.duplicate_suppressed++;
-    (void)endpoint_->Send(from, cached->second);
-    return;
-  }
-  // ...and drop duplicates of calls still executing (the eventual reply
-  // will answer both transmissions).
-  if (hist.in_progress.contains(seq)) {
-    stats_.in_progress_dropped++;
+  // At-most-once: answer retransmissions from the cache, and drop
+  // duplicates of calls still executing (the eventual reply will answer
+  // both transmissions).
+  if (const auto known = hist.calls.find(seq); known != hist.calls.end()) {
+    if (known->second.done) {
+      stats_.duplicate_suppressed++;
+      (void)endpoint_->Send(from, View(known->second.reply));
+    } else {
+      stats_.in_progress_dropped++;
+    }
     return;
   }
 
@@ -116,7 +115,7 @@ void RpcServer::OnDatagram(const net::Address& from, OwnedBytes payload) {
     reply.call = request->call;
     reply.code = StatusCode::kTimeout;
     reply.error_message = "deadline expired before dispatch";
-    (void)endpoint_->Send(from, EncodeReply(reply));
+    (void)endpoint_->Send(from, EncodeReply(std::move(reply)));
     return;
   }
 
@@ -126,7 +125,7 @@ void RpcServer::OnDatagram(const net::Address& from, OwnedBytes payload) {
     reply.call = request->call;
     reply.code = StatusCode::kPermissionDenied;
     reply.error_message = "capability revoked";
-    (void)endpoint_->Send(from, EncodeReply(reply));
+    (void)endpoint_->Send(from, EncodeReply(std::move(reply)));
     return;
   }
 
@@ -138,14 +137,14 @@ void RpcServer::OnDatagram(const net::Address& from, OwnedBytes payload) {
     reply.code = StatusCode::kObjectMoved;
     reply.error_message = "object migrated";
     reply.result = fwd->second;
-    (void)endpoint_->Send(from, EncodeReply(reply));
+    (void)endpoint_->Send(from, EncodeReply(std::move(reply)));
     return;
   }
 
   // From here the call is "in progress" whether it runs now or waits in
   // the admission queue: duplicates of either are dropped, and the
   // eventual reply (or rejection) answers all transmissions.
-  hist.in_progress.emplace(seq, true);
+  hist.calls.try_emplace(seq);
   Admit(from, *request, std::move(payload), scheduler().now());
 }
 
@@ -195,8 +194,8 @@ void RpcServer::StartExecution(const net::Address& from,
   running_++;
   LogAdmission(request.priority, AdmissionEvent::Action::kRun);
   // Detach the execution coroutine; it replies and updates the cache.
-  (void)sim::Spawn(scheduler(),
-                   Execute(from, request, std::move(arena), received_at));
+  sim::SpawnDetached(scheduler(),
+                     Execute(from, request, std::move(arena), received_at));
 }
 
 void RpcServer::FinishExecution() {
@@ -216,7 +215,7 @@ void RpcServer::FinishExecution() {
       stats_.shed_expired_queued++;
       LogAdmission(ready.request.priority,
                    AdmissionEvent::Action::kShedExpired);
-      history_[ready.request.call.client_nonce].in_progress.erase(
+      history_[ready.request.call.client_nonce].calls.erase(
           ready.request.call.seq);
       ReplyFrame reply;
       reply.call = ready.request.call;
@@ -242,18 +241,17 @@ void RpcServer::RejectOverload(const net::Address& from, const CallId& call,
                                AdmissionEvent::Action action,
                                Priority priority) {
   LogAdmission(priority, action);
-  history_[call.client_nonce].in_progress.erase(call.seq);
   ReplyFrame reply;
   reply.call = call;
   reply.code = StatusCode::kResourceExhausted;
   reply.error_message = "server overloaded";
   reply.retry_after = RetryAfterHint();
   Bytes encoded = EncodeReply(std::move(reply));
+  (void)endpoint_->Send(from, View(encoded));
   // Cached: shed means *never executed*, so a retransmission of this
   // call id must get the same rejection rather than a second admission
   // roll (which could execute work the caller was already told is shed).
-  CacheReply(call.client_nonce, call.seq, encoded);
-  (void)endpoint_->Send(from, std::move(encoded));
+  CacheReply(call.client_nonce, call.seq, std::move(encoded));
 }
 
 void RpcServer::LogAdmission(Priority priority,
@@ -280,7 +278,7 @@ sim::Co<void> RpcServer::Execute(net::Address from, RequestFrameView request,
   // coroutine's frame so request.args stays valid across suspensions.
   (void)arena;
   const std::uint64_t born = generation_;
-  Result<Bytes> outcome = InternalError("uninitialized outcome");
+  Result<Bytes> outcome = Bytes();  // every branch below assigns it
 
   const auto obj = objects_.find(request.object);
   if (obj == objects_.end()) {
@@ -316,10 +314,6 @@ sim::Co<void> RpcServer::Execute(net::Address from, RequestFrameView request,
   if (born != generation_) co_return;
 
   SendReply(from, request.call, std::move(outcome));
-
-  ClientHistory& hist = history_[request.call.client_nonce];
-  hist.in_progress.erase(request.call.seq);
-
   FinishExecution();
 }
 
@@ -335,17 +329,23 @@ void RpcServer::SendReply(const net::Address& to, const CallId& call,
     reply.error_message = outcome.status().message();
   }
   Bytes encoded = EncodeReply(std::move(reply));
-  CacheReply(call.client_nonce, call.seq, encoded);
-  (void)endpoint_->Send(to, std::move(encoded));
+  (void)endpoint_->Send(to, View(encoded));
+  CacheReply(call.client_nonce, call.seq, std::move(encoded));
 }
 
 void RpcServer::CacheReply(std::uint64_t nonce, std::uint64_t seq,
                            Bytes encoded) {
+  // The cache holds replies for as long as the client may retransmit:
+  // keep them exact-sized. A gathered reply already is; one still in its
+  // encoder slab is copied down to size.
+  encoded.shrink_to_fit();
   ClientHistory& hist = history_[nonce];
-  hist.replies[seq] = std::move(encoded);
+  ClientHistory::Call& entry = hist.calls[seq];
+  entry.done = true;
+  entry.reply = std::move(encoded);
   hist.order.push_back(seq);
   while (hist.order.size() > params_.reply_cache_per_client) {
-    hist.replies.erase(hist.order.front());
+    hist.calls.erase(hist.order.front());
     hist.order.pop_front();
   }
 }

@@ -210,11 +210,14 @@ class RpcServer {
 
  private:
   struct ClientHistory {
-    // Finished calls: seq -> encoded reply, bounded FIFO.
-    std::unordered_map<std::uint64_t, Bytes> replies;
-    std::deque<std::uint64_t> order;
-    // Calls still executing.
-    std::unordered_map<std::uint64_t, bool> in_progress;
+    // One entry per call, from arrival to eviction: in progress until
+    // `done`, then holding the encoded reply.
+    struct Call {
+      bool done = false;
+      Bytes reply;  // exact-sized; set once done
+    };
+    std::unordered_map<std::uint64_t, Call> calls;  // by seq
+    std::deque<std::uint64_t> order;  // finished seqs: bounded FIFO
   };
 
   /// A request parked in the admission queue. Owns its arrival buffer:

@@ -17,13 +17,11 @@ namespace proxy::serde {
 inline constexpr std::uint16_t kEnvelopeMagic = 0x5053;  // "PS"
 inline constexpr std::uint8_t kEnvelopeVersion = 1;
 
-class Writer;
-
-/// Wraps `payload` in an envelope: magic(2) version(1) crc(4) len payload.
-/// Checksums the buffer chain incrementally and gathers it straight into
-/// the framed output — the send path's single flatten, done once at the
-/// network boundary. `payload` is consumed.
-Bytes WrapEnvelope(Writer&& payload);
+/// Frames one datagram: magic(2) version(1) crc(4) len, then `header`
+/// and `payload` back to back. The CRC runs over the two spans in
+/// place, and both are written into one exactly-reserved buffer — the
+/// send path's only allocation and its single counted copy.
+Bytes WrapEnvelope(BytesView header, BytesView payload);
 
 /// Validates and strips the envelope. The returned payload is a window
 /// of `framed`, valid only while the caller's buffer lives. No copy — the

@@ -42,9 +42,10 @@ class VersionedWriter {
   [[nodiscard]] Writer& body() noexcept { return body_; }
 
   /// Seals the envelope into the outer writer. Call exactly once.
-  /// The body's buffer chain is spliced onto the outer writer — the
-  /// length prefix is written from the chain's known size, and no body
-  /// byte is re-copied.
+  /// The length prefix is written from the body's known size. A body
+  /// that is still one flat slab is copied into the outer writer's slab
+  /// (so the message stays one chunk and Take() moves it out); a body
+  /// holding adopted chunks is spliced, and none of its bytes re-copied.
   void Finish() {
     out_->WriteVarint(version_);
     out_->WriteVarint(body_.size());

@@ -48,11 +48,18 @@ std::uint64_t GetFixed64(BytesView in, std::size_t pos) noexcept {
 }
 
 void PutVarint(Bytes& out, std::uint64_t v) {
+  std::uint8_t buf[kMaxVarintBytes];
+  out.insert(out.end(), buf, buf + PutVarint(buf, v));
+}
+
+std::size_t PutVarint(std::uint8_t* out, std::uint64_t v) noexcept {
+  std::size_t n = 0;
   while (v >= 0x80) {
-    out.push_back(static_cast<std::uint8_t>(v) | 0x80);
+    out[n++] = static_cast<std::uint8_t>(v) | 0x80;
     v >>= 7;
   }
-  out.push_back(static_cast<std::uint8_t>(v));
+  out[n++] = static_cast<std::uint8_t>(v);
+  return n;
 }
 
 bool GetVarint(BytesView in, std::size_t& pos, std::uint64_t& out) noexcept {

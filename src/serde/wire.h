@@ -25,8 +25,13 @@ std::uint16_t GetFixed16(BytesView in, std::size_t pos) noexcept;
 std::uint32_t GetFixed32(BytesView in, std::size_t pos) noexcept;
 std::uint64_t GetFixed64(BytesView in, std::size_t pos) noexcept;
 
-/// LEB128 unsigned varint (1..10 bytes).
+/// LEB128 unsigned varint (1..kMaxVarintBytes bytes).
+inline constexpr std::size_t kMaxVarintBytes = 10;
 void PutVarint(Bytes& out, std::uint64_t v);
+
+/// Encodes a varint into `out`, which has room for kMaxVarintBytes;
+/// returns the encoded length. For headers built on the stack.
+std::size_t PutVarint(std::uint8_t* out, std::uint64_t v) noexcept;
 
 /// Decodes a varint at `pos`; on success advances `pos` and returns true.
 bool GetVarint(BytesView in, std::size_t& pos, std::uint64_t& out) noexcept;

@@ -1,13 +1,15 @@
 // Serializing archive over a buffer chain.
 //
 // The encoder appends into a chain of slab chunks instead of one flat
-// vector: field encodes land in the current tail slab, large payloads
-// are *adopted* as their own chunk (ownership moves, no copy), and a
-// nested writer's chain is *spliced* onto its parent's. The bytes are
-// gathered into one contiguous buffer exactly once, at the network
-// boundary (Take() or the envelope layer's chunk walk) — the
-// rethinkdb-style gather-on-send shape. Only that gather and explicit
-// view copies tick serde::WireCopyCounter.
+// vector: field encodes land in the current tail slab (which starts
+// with a kFirstSlab reservation, so a small message costs one
+// allocation instead of a regrow per doubling), large payloads are
+// *adopted* as their own chunk (ownership moves, no copy), and a nested
+// writer's chain is *spliced* onto its parent's. A chain that stays one
+// slab moves out of Take() copy-free; a longer one is gathered into one
+// contiguous buffer exactly once — the rethinkdb-style gather-on-send
+// shape. Only that gather and explicit view copies tick
+// serde::WireCopyCounter.
 #pragma once
 
 #include <cstdint>
@@ -29,12 +31,19 @@ class Writer {
   /// ever re-copying what previous slabs hold.
   static constexpr std::size_t kChunkSize = 4096;
 
+  /// Reservation of a fresh tail slab: large enough that a typical
+  /// frame's field encodes never regrow it.
+  static constexpr std::size_t kFirstSlab = 256;
+
+  /// Chain slots reserved on the first seal: a request frame that adopts
+  /// its args (outer slab, body slab, args, body tail) never regrows it.
+  static constexpr std::size_t kFirstChunks = 4;
+
   /// Buffers below this are cheaper to copy into the tail slab than to
   /// carry as their own chunk (header + gather bookkeeping).
   static constexpr std::size_t kAdoptThreshold = 32;
 
   Writer() = default;
-  explicit Writer(std::size_t reserve) { tail_.reserve(reserve); }
 
   void WriteU8(std::uint8_t v) { Tail().push_back(v); }
   void WriteU16(std::uint16_t v) { PutFixed16(Tail(), v); }
@@ -75,18 +84,20 @@ class Writer {
   void WriteRaw(Bytes&& v) { AppendOwned(std::move(v)); }
 
   /// Splices another writer's whole chain onto this one — ownership of
-  /// the chunks moves, no bytes are copied. `other` is empty afterwards.
+  /// the chunks moves, no bytes are copied. A chain that is still one
+  /// flat slab is copied into the tail instead: one short counted copy
+  /// keeps this writer a single chunk, so Take() moves it out rather
+  /// than gathering the whole message. `other` is empty afterwards.
   void SpliceFrom(Writer&& other) {
+    if (other.chunks_.empty()) {
+      AppendCopy(View(other.tail_));
+      other.tail_.clear();
+      return;
+    }
     SealTail();
-    for (Bytes& chunk : other.chunks_) {
-      sealed_size_ += chunk.size();
-      chunks_.push_back(std::move(chunk));
-    }
+    for (Bytes& chunk : other.chunks_) PushChunk(std::move(chunk));
     other.chunks_.clear();
-    if (!other.tail_.empty()) {
-      sealed_size_ += other.tail_.size();
-      chunks_.push_back(std::move(other.tail_));
-    }
+    if (!other.tail_.empty()) PushChunk(std::move(other.tail_));
     other.tail_.clear();
     other.sealed_size_ = 0;
   }
@@ -95,8 +106,7 @@ class Writer {
     return sealed_size_ + tail_.size();
   }
 
-  /// Walks the chain in wire order without flattening (incremental CRC,
-  /// scatter-gather send).
+  /// Walks the chain in wire order without flattening.
   template <typename Fn>
   void ForEachChunk(Fn&& fn) const {
     for (const Bytes& chunk : chunks_) fn(View(chunk));
@@ -135,15 +145,22 @@ class Writer {
     if (tail_.size() >= kChunkSize) {
       SealTail();
       tail_.reserve(kChunkSize);
+    } else if (tail_.capacity() == 0) {
+      tail_.reserve(kFirstSlab);
     }
     return tail_;
   }
 
   void SealTail() {
     if (tail_.empty()) return;
-    sealed_size_ += tail_.size();
-    chunks_.push_back(std::move(tail_));
+    PushChunk(std::move(tail_));
     tail_.clear();
+  }
+
+  void PushChunk(Bytes&& chunk) {
+    if (chunks_.capacity() == 0) chunks_.reserve(kFirstChunks);
+    sealed_size_ += chunk.size();
+    chunks_.push_back(std::move(chunk));
   }
 
   void AppendCopy(BytesView v) {
@@ -159,8 +176,7 @@ class Writer {
       return;
     }
     SealTail();
-    sealed_size_ += v.size();
-    chunks_.push_back(std::move(v));
+    PushChunk(std::move(v));
   }
 
   std::vector<Bytes> chunks_;  // sealed slabs, in wire order

@@ -309,7 +309,7 @@ void FileCachingProxy::Prefetch(std::uint64_t block) {
   if (blocks_.Peek(block) != nullptr) return;
   if (inflight_.contains(block)) return;  // already on the wire
   prefetches_++;
-  (void)sim::Spawn(context().scheduler(), PrefetchTask(block));
+  sim::SpawnDetached(context().scheduler(), PrefetchTask(block));
 }
 
 sim::Co<void> FileCachingProxy::PrefetchTask(std::uint64_t block) {

@@ -78,7 +78,7 @@ void KvReplica::StartFailover() {
       self->lease_.reset();
     }
   });
-  (void)sim::Spawn(context_->scheduler(), WatchdogLoop(self));
+  sim::SpawnDetached(context_->scheduler(), WatchdogLoop(self));
 }
 
 void KvReplica::StepDown(bool resync) {
@@ -1116,8 +1116,7 @@ Result<ReplicatedKvExport> ExportReplicatedKv(
 // --- failover proxy ----------------------------------------------------
 
 sim::Co<Status> KvFailoverProxy::EnsureReplicaList(
-    bool force, obs::TraceContext trace,
-    std::shared_ptr<rpc::AttemptBudget> budget) {
+    bool force, obs::TraceContext trace, rpc::AttemptBudget* budget) {
   if (!force && !replicas_.empty()) co_return Status::Ok();
   const std::vector<core::ServiceBinding> known = replicas_;
   if (force) {
@@ -1128,12 +1127,12 @@ sim::Co<Status> KvFailoverProxy::EnsureReplicaList(
   }
   rpc::CallOptions traced = options_;
   traced.trace = trace;
-  traced.attempt_budget = std::move(budget);  // share the op's allowance
+  traced.attempt_budget = budget;  // share the op's allowance
   // Ask the bound primary first; CallRaw re-resolves the service name if
   // the bound address stopped answering (the new primary re-registers
   // the name when it promotes).
   Result<ReplicaListResponse> resp = FailedPreconditionError("unset");
-  Result<Bytes> raw = co_await CallRaw(
+  Result<OwnedBytes> raw = co_await CallRaw(
       kvwire::kGetReplicas, serde::EncodeToBytes(rpc::Void{}), traced);
   if (raw.ok()) {
     resp = serde::DecodeFromBytes<ReplicaListResponse>(View(*raw));
@@ -1173,7 +1172,8 @@ sim::Co<Result<Resp>> KvFailoverProxy::ReadCall(std::uint32_t method,
                   context().scheduler().now());
   rpc::CallOptions opts = options_;
   if (span.active()) opts.trace = span;
-  opts.attempt_budget = MintOpBudget();  // one allowance across all passes
+  rpc::AttemptBudget budget = MintOpBudget();  // one allowance, all passes
+  opts.attempt_budget = &budget;
 
   Result<Resp> outcome = UnavailableError("no replicas");
   bool done = false;
@@ -1240,7 +1240,8 @@ sim::Co<Result<Resp>> KvFailoverProxy::WriteCall(std::uint32_t method,
                   context().scheduler().now());
   rpc::CallOptions opts = options_;
   if (span.active()) opts.trace = span;
-  opts.attempt_budget = MintOpBudget();  // one allowance across all passes
+  rpc::AttemptBudget budget = MintOpBudget();  // one allowance, all passes
+  opts.attempt_budget = &budget;
 
   const Bytes args = serde::EncodeToBytes(req);
   // If every pass fails, report the FIRST actual write attempt's status:

@@ -483,9 +483,8 @@ class KvFailoverProxy : public IKeyValue, public core::ProxyBase {
   /// the name if dead), then by asking each previously known replica.
   /// `budget` (when set) is the owning operation's shared retransmission
   /// allowance; the refresh's own calls draw from it.
-  sim::Co<Status> EnsureReplicaList(
-      bool force, obs::TraceContext trace = {},
-      std::shared_ptr<rpc::AttemptBudget> budget = nullptr);
+  sim::Co<Status> EnsureReplicaList(bool force, obs::TraceContext trace = {},
+                                    rpc::AttemptBudget* budget = nullptr);
 
   /// One shared retransmission allowance for a whole read/write
   /// operation. Each pass of ReadCall/WriteCall used to retry on its own
@@ -494,8 +493,8 @@ class KvFailoverProxy : public IKeyValue, public core::ProxyBase {
   /// service was least able to absorb it. Every replica still gets its
   /// first transmission (failover keeps working); what the budget stops
   /// is *re*-transmissions once the op's total allowance is spent.
-  [[nodiscard]] std::shared_ptr<rpc::AttemptBudget> MintOpBudget() const {
-    return std::make_shared<rpc::AttemptBudget>(options_.max_retries * 2 + 2);
+  [[nodiscard]] rpc::AttemptBudget MintOpBudget() const {
+    return rpc::AttemptBudget(options_.max_retries * 2 + 2);
   }
 
   /// Read path: try replicas starting with the preferred one; after a

@@ -53,8 +53,8 @@ sim::Co<Status> KvShardRouterProxy::EnsureMap(bool force,
   rpc::CallOptions traced = options_;
   traced.trace = trace;
   rpc::Void none;  // named: see stub.h "GCC note"
-  Result<Bytes> raw = co_await CallRaw(shardwire::kGetShardMap,
-                                       serde::EncodeToBytes(none), traced);
+  Result<OwnedBytes> raw = co_await CallRaw(
+      shardwire::kGetShardMap, serde::EncodeToBytes(none), traced);
   if (!raw.ok()) co_return raw.status();
   Result<GetShardMapResponse> resp =
       serde::DecodeFromBytes<GetShardMapResponse>(View(*raw));

@@ -20,7 +20,7 @@ sim::Co<void> SpoolerService::ProcessJobs(std::uint64_t count) {
 sim::Co<Result<std::uint64_t>> SpoolerService::Submit(SpoolJob job) {
   (void)job;
   const std::uint64_t id = next_id_++;
-  (void)sim::Spawn(*scheduler_, ProcessJobs(1));
+  sim::SpawnDetached(*scheduler_, ProcessJobs(1));
   co_return id;
 }
 
@@ -29,7 +29,7 @@ sim::Co<Result<std::uint64_t>> SpoolerService::SubmitMany(
   if (jobs.empty()) co_return InvalidArgumentError("empty job batch");
   const std::uint64_t first = next_id_;
   next_id_ += jobs.size();
-  (void)sim::Spawn(*scheduler_, ProcessJobs(jobs.size()));
+  sim::SpawnDetached(*scheduler_, ProcessJobs(jobs.size()));
   co_return first;
 }
 

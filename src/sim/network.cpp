@@ -173,7 +173,17 @@ void Network::ScheduleDelivery(NodeId from, NodeId to, PortId to_port,
   // first opens the batch, the rest append to it for free. Batch order is
   // append order, which is exactly the per-message event order the old
   // one-event-per-message core produced.
-  auto [it, opened] = batches_.try_emplace(BatchKey{to.value(), arrival});
+  const BatchKey key{to.value(), arrival};
+  auto it = batches_.find(key);
+  const bool opened = it == batches_.end();
+  if (opened && spare_batches_.empty()) {
+    it = batches_.try_emplace(key).first;
+  } else if (opened) {
+    BatchMap::node_type node = std::move(spare_batches_.back());
+    spare_batches_.pop_back();
+    node.key() = key;
+    it = batches_.insert(std::move(node)).position;
+  }
   it->second.push_back(PendingDelivery{from, to_port, std::move(payload),
                                        dest_incarnation, via_link});
   if (opened) {
@@ -186,14 +196,12 @@ void Network::ScheduleDelivery(NodeId from, NodeId to, PortId to_port,
 }
 
 void Network::DrainDeliveries(NodeId to, SimTime at) {
-  const auto it = batches_.find(BatchKey{to.value(), at});
-  assert(it != batches_.end());
   // Detach the batch first: a receiver callback may send again and open a
   // fresh batch for this (node, instant) — events posted "now" run later
   // in this same virtual instant, exactly like the unbatched core.
-  std::vector<PendingDelivery> batch = std::move(it->second);
-  batches_.erase(it);
-  for (auto& msg : batch) {
+  BatchMap::node_type node = batches_.extract(BatchKey{to.value(), at});
+  assert(!node.empty());
+  for (auto& msg : node.mapped()) {
     // A partition raised while in flight also eats the message.
     if (msg.via_link && IsPartitioned(msg.from, to)) {
       stats_.messages_dropped++;
@@ -213,6 +221,8 @@ void Network::DrainDeliveries(NodeId to, SimTime at) {
     }
     Deliver(msg.from, to, msg.to_port, std::move(msg.payload));
   }
+  node.mapped().clear();
+  spare_batches_.push_back(std::move(node));
 }
 
 void Network::Deliver(NodeId from, NodeId to, PortId to_port, Bytes payload) {

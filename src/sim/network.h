@@ -202,8 +202,13 @@ class Network {
   std::unordered_map<std::uint64_t, DirectedLink> links_;
   std::unordered_map<std::uint64_t, bool> partitioned_;  // undirected key
   std::unordered_map<std::uint32_t, std::vector<HeldMessage>> paused_;
-  std::unordered_map<BatchKey, std::vector<PendingDelivery>, BatchKeyHash>
-      batches_;
+  using BatchMap =
+      std::unordered_map<BatchKey, std::vector<PendingDelivery>, BatchKeyHash>;
+  BatchMap batches_;
+  // Drained batches, emptied but keeping their map node and vector
+  // capacity: the next batch to open reuses one instead of allocating
+  // both, so steady-state delivery allocates nothing here.
+  std::vector<BatchMap::node_type> spare_batches_;
   std::vector<bool> crashed_;
   // Bumped on every crash; a message captures its destination's value at
   // send time and is dropped on arrival if it no longer matches, so mail

@@ -3,7 +3,8 @@
 // Co<T> is a *lazy* coroutine: creating one does nothing until it is
 // co_awaited (which chains it onto the awaiting coroutine via symmetric
 // transfer) or handed to Spawn(), which starts it as a root activity and
-// exposes its result as a Future<T>.
+// exposes its result as a Future<T> (or to SpawnDetached(), which starts
+// it with no result to collect).
 //
 // Exceptions escaping a coroutine terminate the program by design:
 // expected failures travel as Result values, so an exception here is a
@@ -162,6 +163,8 @@ inline RootTask RunRootVoid(Co<void> co, Promise<bool> done) {
   done.Set(true);
 }
 
+inline RootTask RunRootDetached(Co<void> co) { co_await std::move(co); }
+
 }  // namespace detail
 
 /// Starts `co` as a root activity on `sched`. The coroutine begins
@@ -181,6 +184,14 @@ inline Future<bool> Spawn(Scheduler& sched, Co<void> co) {
   Promise<bool> done(sched);
   detail::RunRootVoid(std::move(co), done);
   return done.future();
+}
+
+/// Starts `co` as a root activity nobody waits on (a server execution,
+/// a background loop). Unlike `(void)Spawn(...)` it allocates no
+/// completion state that no one would read.
+inline void SpawnDetached(Scheduler& sched, Co<void> co) {
+  sched.MakeCurrent();
+  detail::RunRootDetached(std::move(co));
 }
 
 }  // namespace proxy::sim

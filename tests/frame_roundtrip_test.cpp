@@ -215,7 +215,8 @@ TEST(FrameRoundtrip, ReplyFrameRoundTripsRetryAfter) {
   reply.code = StatusCode::kResourceExhausted;
   reply.error_message = "admission queue full";
   reply.retry_after = Milliseconds(15);
-  const Result<ReplyFrame> decoded = DecodeReply(View(EncodeReply(reply)));
+  const Result<ReplyFrame> decoded =
+      DecodeReply(View(EncodeReply(ReplyFrame(reply))));
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(decoded->code, StatusCode::kResourceExhausted);
   EXPECT_EQ(decoded->retry_after, Milliseconds(15));
@@ -239,7 +240,8 @@ TEST(FrameRoundtrip, ReplyFrameRoundTrips) {
   reply.call = CallId{99, 7};
   reply.code = StatusCode::kFailedPrecondition;
   reply.error_message = "held elsewhere";
-  const Result<ReplyFrame> decoded = DecodeReply(View(EncodeReply(reply)));
+  const Result<ReplyFrame> decoded =
+      DecodeReply(View(EncodeReply(ReplyFrame(reply))));
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(decoded->call, reply.call);
   EXPECT_EQ(decoded->code, reply.code);
@@ -263,7 +265,7 @@ TEST(FrameRoundtrip, TruncatedReplyNeverDecodesAsValid) {
   ReplyFrame reply;
   reply.call = CallId{0x1234, 56};
   reply.result = Bytes{9, 8, 7, 6};
-  const Bytes full = EncodeReply(reply);
+  const Bytes full = EncodeReply(std::move(reply));
   for (std::size_t len = 0; len < full.size(); ++len) {
     EXPECT_FALSE(DecodeReply(BytesView(full.data(), len)).ok())
         << "prefix of length " << len << " decoded";
@@ -369,7 +371,8 @@ TEST(FrameRoundtrip, ReplyFrameRoundTripsWrongShard) {
   reply.call = CallId{0xBEEF, 21};
   reply.code = StatusCode::kWrongShard;
   reply.error_message = "shard 3 not owned here";
-  const Result<ReplyFrame> decoded = DecodeReply(View(EncodeReply(reply)));
+  const Result<ReplyFrame> decoded =
+      DecodeReply(View(EncodeReply(ReplyFrame(reply))));
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(decoded->code, StatusCode::kWrongShard);
   EXPECT_EQ(decoded->error_message, reply.error_message);

@@ -33,6 +33,7 @@ sim::Co<void> Sink::Handle(BytesView args) {
   stash_ = args;                               // MARK:l6-member-store
   parts_.push_back(args);                      // MARK:l6-container
   (void)sim::Spawn(*sched_, Consume(args));    // MARK:l6-detached
+  sim::SpawnDetached(*sched_, Consume(args));  // MARK:l6-spawn-detached
 
   offset_ = args.size();          // handled: scalar derived from the view
   copy_ = Bytes(args.begin(), args.end());     // handled: owning copy
@@ -44,7 +45,7 @@ sim::Co<void> Sink::Handle(BytesView args) {
 sim::Co<void> Sink::HandleOwned(BytesView args, OwnedBytes arena) {
   // The sanctioned pattern: the arena rides along with the view, so the
   // bytes stay alive as long as the task does.
-  (void)sim::Spawn(*sched_, Park(args, std::move(arena)));
+  sim::SpawnDetached(*sched_, Park(args, std::move(arena)));
   co_return;
 }
 

@@ -312,18 +312,18 @@ TEST(Overload, SharedAttemptBudgetCapsRetransmissionsAcrossCalls) {
   // One logical operation spanning two RPC hops (the failover-proxy
   // shape): both share one attempt budget, so the pair cannot spend more
   // retransmissions than the operation was granted.
-  auto budget = std::make_shared<rpc::AttemptBudget>(3);
+  rpc::AttemptBudget budget(3);
   rpc::CallOptions options;
   options.retry_interval = Milliseconds(5);
   options.max_retries = 100;
   options.deadline = Milliseconds(100);
-  options.attempt_budget = budget;
+  options.attempt_budget = &budget;
   EXPECT_EQ(w.CallSync(1, options).status.code(), StatusCode::kTimeout);
   EXPECT_EQ(w.CallSync(2, options).status.code(), StatusCode::kTimeout);
 
   EXPECT_LE(w.client->stats().retransmissions.value(), 3u);
   EXPECT_GE(w.client->stats().attempt_budget_stops.value(), 1u);
-  EXPECT_FALSE(budget->TryConsume());
+  EXPECT_FALSE(budget.TryConsume());
 }
 
 // --- pushback and the degradation hooks --------------------------------

@@ -155,7 +155,7 @@ TEST_F(RpcFixture, BorrowedArgsViewSurvivesHandlerSuspension) {
   sched.RunUntil([&] { return future.ready() && noise.ready(); });
   const RpcResult r = future.take();
   ASSERT_TRUE(r.ok()) << r.status.ToString();
-  EXPECT_EQ(r.payload, sent);
+  EXPECT_EQ(r.payload.ToBytes(), sent);
   EXPECT_TRUE(noise.take().ok());
 }
 
@@ -301,7 +301,8 @@ TEST_F(RpcFixture, SpoofedReplyFromWrongAddressRejected) {
   forged.code = StatusCode::kOk;
   forged.result = serde::EncodeToBytes(EchoResponse{"forged"});
   net::Endpoint* rogue = stack_b->OpenEphemeral();
-  ASSERT_TRUE(rogue->Send(client->address(), EncodeReply(forged)).ok());
+  ASSERT_TRUE(
+      rogue->Send(client->address(), EncodeReply(std::move(forged))).ok());
 
   sched.RunUntil([&] { return future.ready(); });
   const RpcResult r = future.take();
@@ -360,22 +361,43 @@ TEST_F(RpcFixture, StrayReplyIgnored) {
   reply.code = StatusCode::kOk;
   net::Endpoint* rogue = stack_b->OpenEphemeral();
   ASSERT_TRUE(
-      rogue->Send(client->address(), EncodeReply(reply)).ok());
+      rogue->Send(client->address(), EncodeReply(ReplyFrame(reply))).ok());
   sched.Run();
   EXPECT_EQ(client->stats().stray_replies, 1u);
   EXPECT_EQ(client->stats().stray_foreign_nonce, 1u);
   EXPECT_EQ(client->stats().stray_finished_call, 0u);
 
-  // The client's own nonce but no pending call with that seq: the
-  // duplicate-of-a-finished-call cell, not the foreign-nonce one.
+  // The client's own nonce but a seq it never issued: a forgery, not a
+  // late duplicate — the wrong-source cell.
   reply.call = CallId{client->nonce(), 99};
   ASSERT_TRUE(
-      rogue->Send(client->address(), EncodeReply(reply)).ok());
+      rogue->Send(client->address(), EncodeReply(ReplyFrame(reply))).ok());
   sched.Run();
   EXPECT_EQ(client->stats().stray_replies, 2u);
   EXPECT_EQ(client->stats().stray_foreign_nonce, 1u);
+  EXPECT_EQ(client->stats().stray_finished_call, 0u);
+  EXPECT_EQ(client->stats().stray_wrong_source, 1u);
+
+  // A finished call's seq: from the destination it was sent to, a late
+  // duplicate (finished-call cell); from anyone else, a forgery.
+  const RpcResult done = CallSync(1, EchoRequest{"x", 1});
+  ASSERT_TRUE(done.ok());
+  const CallId finished{client->nonce(), 1};
+  reply.call = finished;
+  ASSERT_TRUE(
+      server_ep->Send(client->address(), EncodeReply(ReplyFrame(reply)))
+          .ok());
+  sched.Run();
+  EXPECT_EQ(client->stats().stray_replies, 3u);
   EXPECT_EQ(client->stats().stray_finished_call, 1u);
-  EXPECT_EQ(client->stats().stray_wrong_source, 0u);
+  EXPECT_EQ(client->stats().stray_wrong_source, 1u);
+  ASSERT_TRUE(
+      rogue->Send(client->address(), EncodeReply(ReplyFrame(reply))).ok());
+  sched.Run();
+  EXPECT_EQ(client->stats().stray_replies, 4u);
+  EXPECT_EQ(client->stats().stray_finished_call, 1u);
+  EXPECT_EQ(client->stats().stray_wrong_source, 2u);
+  EXPECT_EQ(client->stats().stray_foreign_nonce, 1u);
 }
 
 TEST(FrameCodec, RequestReplyRoundTrip) {
@@ -397,7 +419,7 @@ TEST(FrameCodec, RequestReplyRoundTrip) {
   reply.call = req.call;
   reply.code = StatusCode::kNotFound;
   reply.error_message = "gone";
-  const Bytes encoded_reply = EncodeReply(reply);
+  const Bytes encoded_reply = EncodeReply(std::move(reply));
   const auto decoded_reply = DecodeReply(View(encoded_reply));
   ASSERT_TRUE(decoded_reply.ok());
   EXPECT_EQ(decoded_reply->code, StatusCode::kNotFound);

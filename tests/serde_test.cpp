@@ -312,11 +312,23 @@ Bytes BigPayload(std::size_t n, std::uint8_t seed = 7) {
   return b;
 }
 
-// Frames `payload` the way the node stack does.
-Bytes Frame(BytesView payload) {
-  Writer w;
-  w.WriteRaw(payload);
-  return WrapEnvelope(std::move(w));
+// Frames `payload` with no header.
+Bytes Frame(BytesView payload) { return WrapEnvelope({}, payload); }
+
+TEST(Envelope, HeaderAndPayloadFrameAsOneSpan) {
+  // The node stack frames its source-port header and the payload as two
+  // spans; the datagram is byte-identical to framing their concatenation,
+  // and the one counted copy is exactly the framed bytes.
+  const Bytes payload = BigPayload(100, 3);
+  std::uint8_t port[kMaxVarintBytes];
+  const std::size_t port_len = PutVarint(port, 0x8001);
+  Bytes joined(port, port + port_len);
+  joined.insert(joined.end(), payload.begin(), payload.end());
+  const auto before = WireCopyCounter().value();
+  const Bytes split = WrapEnvelope(BytesView(port, port_len), View(payload));
+  EXPECT_EQ(WireCopyCounter().value(), before + joined.size());
+  EXPECT_EQ(split, Frame(View(joined)));
+  EXPECT_EQ(split.capacity(), split.size()) << "exactly reserved";
 }
 
 TEST(Envelope, RoundTrip) {

@@ -824,17 +824,19 @@ void CheckBorrowedViewEscape(const Analysis& a) {
       }
     }
 
-    // (c) detached capture: the view rides into a Spawn'd coroutine
-    // frame or a .Detach()'d timer callback, with no arena aboard.
+    // (c) detached capture: the view rides into a Spawn'd /
+    // SpawnDetached coroutine frame or a .Detach()'d timer callback,
+    // with no arena aboard.
     bool detached = false;
     int bdepth = 0;
     for (std::size_t p = i; p < end; ++p) {
       if (t[p].text == "{") ++bdepth;
       else if (t[p].text == "}") --bdepth;
       else if (bdepth == 0 && t[p].kind == Tok::kIdent &&
-               (t[p].text == "Spawn" || t[p].text == "Detach") &&
-               (t[p].text == "Spawn" ? Is(t, p + 1, "(")
-                                     : p > 0 && Is(t, p - 1, "."))) {
+               (t[p].text == "Spawn" || t[p].text == "SpawnDetached" ||
+                t[p].text == "Detach") &&
+               (t[p].text == "Detach" ? p > 0 && Is(t, p - 1, ".")
+                                      : Is(t, p + 1, "("))) {
         detached = true;
         break;
       }
