@@ -2,7 +2,8 @@
 # One-command verification: configure + build the default preset, run the
 # full test suite (which includes the 32-seed chaos smoke), then run a
 # 128-seed chaos sweep with the chaos_explore driver — plus a 64-seed
-# overload sweep and a retry-storm bug demonstrator. Any violation fails
+# overload sweep, a 10x-client sharded sweep and the stale-primary and
+# retry-storm bug demonstrators. Any violation fails
 # the script and prints the reproducing seed. After the sweep, three
 # observability gates: the obs unit suite runs under every preset (the
 # asan-chaos ctest filter would otherwise skip it), a seeded
@@ -121,11 +122,26 @@ echo "== chaos sweep, 10x clients (16 seeds) =="
 # timer-wheel core keeps the bigger topology inside the CI budget; the
 # NIGHTLY=1 run widens it to the full seed battery.
 "./$BUILD_DIR/tools/chaos_explore" --seeds=16 --clients=40
+
+echo "== chaos sweep, 10x clients sharded (64 seeds) =="
+# Two replica groups under forty clients: the most concurrent writes per
+# primary of any lane, so the one that moves the most interleavings of
+# the mirror fan-out's write-all join (every backup's call in flight at
+# once, replies joined in active-set order).
+"./$BUILD_DIR/tools/chaos_explore" --seeds=64 --clients=40 --sharded
 if [ "${NIGHTLY:-0}" = "1" ]; then
   echo "== chaos sweep, 10x clients, nightly ($SEEDS seeds) =="
   "./$BUILD_DIR/tools/chaos_explore" --seeds="$SEEDS" --clients=40
-  echo "== chaos sweep, 10x clients sharded, nightly (64 seeds) =="
-  "./$BUILD_DIR/tools/chaos_explore" --seeds=64 --clients=40 --sharded
+fi
+
+echo "== chaos bug demonstrator: stale-primary =="
+# Epoch fencing must have teeth: with it disabled a deposed primary keeps
+# acknowledging writes, and some seed of the sweep must catch the
+# resulting epoch regression, lost write or split brain.
+if "./$BUILD_DIR/tools/chaos_explore" --seeds=128 --bug=stale-primary \
+    > /dev/null 2>&1; then
+  echo "FAIL: stale-primary bug not caught by the 128-seed sweep"
+  exit 1
 fi
 
 echo "== chaos bug demonstrator: retry-storm =="

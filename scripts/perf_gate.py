@@ -16,6 +16,7 @@ A metric regresses when it moves past its margin in the bad direction:
     ok_reads              must stay >= 0.9x baseline
     bytes_copied_per_op   must stay <= 1.1x baseline  (lower is better)
     mean_read_latency_ns  must stay <= 1.1x baseline
+    mean_write_latency_ns must stay <= 1.1x baseline
     msgs_per_call         must stay <= 1.1x baseline
     allocs_per_call       must stay <= 1.1x baseline
 
@@ -41,6 +42,10 @@ RULES = {
     "ok_reads": ("up", 0.9),
     "bytes_copied_per_op": ("down", 1.1),
     "mean_read_latency_ns": ("down", 1.1),
+    # Replicated write (F7): write-all mirrors each Put to every backup
+    # at once, so a write costs one backup round trip; a fan-out that
+    # goes back to one peer at a time shows up here.
+    "mean_write_latency_ns": ("down", 1.1),
     "msgs_per_call": ("down", 1.1),
     # Overload (F8): P0 must keep its goodput at 2x offered load with
     # admission control on, and the admission-off ablation must stay
@@ -223,6 +228,16 @@ def self_test():
     if len(check(alloc_base,
                  {"sim_core/rpc_echo_storm/allocs_per_call": 25.0})) != 1:
         print("self-test FAIL: allocation regression passed")
+        return 1
+    # Write-latency rule: the sequential mirror (one backup round trip
+    # after another) must trip; an unchanged write passes.
+    write_key = "replication/rf3-write/steady/mean_write_latency_ns"
+    write_base = {write_key: 2270784.0}
+    if check(write_base, dict(write_base)):
+        print("self-test FAIL: identical write latency was rejected")
+        return 1
+    if len(check(write_base, {write_key: 3440076.0})) != 1:
+        print("self-test FAIL: sequential-mirror write latency passed")
         return 1
     # Malformed current-run records must produce a clear error naming the
     # offending line, not a bare KeyError traceback.

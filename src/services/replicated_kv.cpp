@@ -1,6 +1,7 @@
 #include "services/replicated_kv.h"
 
 #include <algorithm>
+#include <optional>
 #include <utility>
 
 #include "common/log.h"
@@ -162,6 +163,29 @@ sim::Co<Status> KvReplica::SendBatch(const core::ServiceBinding& peer,
   co_return r.status;
 }
 
+std::vector<sim::Future<rpc::RpcResult>> KvReplica::StartMirrorCalls(
+    const std::vector<core::ServiceBinding>& view,
+    const ReplicateBatchRequest& req, obs::TraceContext trace) {
+  std::vector<sim::Future<rpc::RpcResult>> calls(view.size());
+  std::size_t last_peer = view.size();
+  for (std::size_t i = 0; i < view.size(); ++i) {
+    if (!SameObject(view[i], self_)) last_peer = i;
+  }
+  if (last_peer == view.size()) return calls;  // no peer: nothing to encode
+  rpc::CallOptions mirror = params_.mirror;
+  mirror.trace = trace;
+  Bytes args = serde::EncodeToBytes(req);
+  for (std::size_t i = 0; i <= last_peer; ++i) {
+    const core::ServiceBinding& peer = view[i];
+    if (SameObject(peer, self_)) continue;
+    // Every call but the last sends a copy of the one encoding.
+    calls[i] = context_->client().Call(
+        peer.server, peer.object, kvwire::kReplicateBatch,
+        i == last_peer ? std::move(args) : Bytes(args), mirror);
+  }
+  return calls;
+}
+
 sim::Co<Status> KvReplica::Mirror(
     std::vector<std::pair<std::string, std::string>> entries,
     std::vector<std::string> deletes, obs::TraceContext trace,
@@ -184,17 +208,29 @@ sim::Co<Status> KvReplica::Mirror(
 
   // Write-all over the active set: every active peer must acknowledge
   // before the client does (so any active replica can later promote
-  // without losing an acknowledged write).
+  // without losing an acknowledged write). The batch goes to every peer
+  // at once and the replies join in active-set order, so a write costs
+  // one backup round trip, not one per backup.
   //
-  // Iterate a snapshot: SendBatch suspends, and a concurrent write (or a
+  // Iterate a snapshot: the joins suspend, and a concurrent write (or a
   // fencing response) can reassign active_ while this frame is parked —
   // a range-for over the member would read freed vector storage.
+  //
+  // Every early co_return below leaves the later calls unawaited. They
+  // still finish on their own: the RpcClient's pending table owns each
+  // call's promise, so the reply (or timeout) lands in a future nobody
+  // reads, which is freed with the call. The peers may apply the batch;
+  // the write is unacknowledged either way.
   std::vector<core::ServiceBinding> survivors{self_};
   bool lost_any = false;
   const std::vector<core::ServiceBinding> mirror_view = active_;
-  for (const auto& peer : mirror_view) {
+  std::vector<sim::Future<rpc::RpcResult>> calls =
+      StartMirrorCalls(mirror_view, req, trace);
+  for (std::size_t i = 0; i < mirror_view.size(); ++i) {
+    const core::ServiceBinding& peer = mirror_view[i];
     if (SameObject(peer, self_)) continue;
-    const Status st = co_await SendBatch(peer, req, trace);
+    const rpc::RpcResult reply = co_await calls[i];
+    const Status& st = reply.status;
     if (st.ok()) {
       survivors.push_back(peer);
       continue;
@@ -251,9 +287,12 @@ sim::Co<Status> KvReplica::Mirror(
     req.replicas = active_;
     std::vector<core::ServiceBinding> confirmed{self_};
     const std::vector<core::ServiceBinding> reannounce_view = active_;
-    for (const auto& peer : reannounce_view) {
+    calls = StartMirrorCalls(reannounce_view, req, trace);
+    for (std::size_t i = 0; i < reannounce_view.size(); ++i) {
+      const core::ServiceBinding& peer = reannounce_view[i];
       if (SameObject(peer, self_)) continue;
-      const Status st = co_await SendBatch(peer, req, trace);
+      const rpc::RpcResult reply = co_await calls[i];
+      const Status& st = reply.status;
       if (st.ok()) {
         confirmed.push_back(peer);
       } else if (st.code() == StatusCode::kFenced) {
@@ -1175,19 +1214,15 @@ sim::Co<Result<Resp>> KvFailoverProxy::ReadCall(std::uint32_t method,
   rpc::AttemptBudget budget = MintOpBudget();  // one allowance, all passes
   opts.attempt_budget = &budget;
 
-  Result<Resp> outcome = UnavailableError("no replicas");
-  bool done = false;
+  std::optional<Result<Resp>> outcome;  // set by the settling path
   const Status ready =
       co_await EnsureReplicaList(false, span, opts.attempt_budget);
-  if (!ready.ok()) {
-    outcome = ready;
-    done = true;
-  }
+  if (!ready.ok()) outcome = ready;
   Bytes args;
-  if (!done) args = serde::EncodeToBytes(req);
-  Status last = UnavailableError("no replicas");
-  for (int pass = 0; pass < 2 && !done; ++pass) {
-    for (std::size_t i = 0; i < replicas_.size() && !done; ++i) {
+  if (!outcome) args = serde::EncodeToBytes(req);
+  Status last;  // the latest liveness failure
+  for (int pass = 0; pass < 2 && !outcome; ++pass) {
+    for (std::size_t i = 0; i < replicas_.size() && !outcome; ++i) {
       const std::size_t idx = (preferred_ + i) % replicas_.size();
       const core::ServiceBinding& replica = replicas_[idx];
       rpc::RpcResult raw = co_await context().client().Call(
@@ -1200,7 +1235,6 @@ sim::Co<Result<Resp>> KvFailoverProxy::ReadCall(std::uint32_t method,
           preferred_ = idx;  // stick with the replica that answered
         }
         outcome = serde::DecodeFromBytes<Resp>(View(raw.payload));
-        done = true;
         break;
       }
       // Only liveness failures trigger failover; semantic errors are
@@ -1208,27 +1242,25 @@ sim::Co<Result<Resp>> KvFailoverProxy::ReadCall(std::uint32_t method,
       if (raw.status.code() != StatusCode::kTimeout &&
           raw.status.code() != StatusCode::kUnavailable) {
         outcome = raw.status;
-        done = true;
         break;
       }
       last = raw.status;
     }
-    if (!done && pass == 0) {
+    if (outcome) break;
+    if (pass == 0) {
       // Every cached replica failed: the whole set may have moved on
       // (failover reshuffled it, or our list is from a dead epoch).
       // Re-fetch once and give the fresh set one more chance.
       const Status refreshed =
           co_await EnsureReplicaList(true, span, opts.attempt_budget);
-      if (!refreshed.ok()) {
-        outcome = last;
-        done = true;
-      }
-    } else if (!done && pass == 1) {
-      outcome = last;
+      if (refreshed.ok()) continue;
     }
+    // EnsureReplicaList never leaves the list empty, so a pass that
+    // settled nothing saw at least one failure.
+    outcome = std::move(last);
   }
-  spans.End(span, context().scheduler().now(), outcome.status());
-  co_return outcome;
+  spans.End(span, context().scheduler().now(), outcome->status());
+  co_return std::move(*outcome);
 }
 
 template <typename Resp, typename Req>
@@ -1249,11 +1281,10 @@ sim::Co<Result<Resp>> KvFailoverProxy::WriteCall(std::uint32_t method,
   // primary opens and later passes fast-fail with UNAVAILABLE ("circuit
   // open"), which would mask the honest diagnosis (e.g. TIMEOUT on a
   // partitioned primary).
-  Status verdict = UnavailableError("no replicas");
+  Status verdict;
   bool attempted = false;
-  Result<Resp> outcome = UnavailableError("no replicas");
-  bool done = false;
-  for (int pass = 0; pass < kWritePasses && !done; ++pass) {
+  std::optional<Result<Resp>> outcome;  // set by the settling pass
+  for (int pass = 0; pass < kWritePasses && !outcome; ++pass) {
     const Status ready =
         co_await EnsureReplicaList(pass > 0, span, opts.attempt_budget);
     if (!ready.ok()) {
@@ -1266,7 +1297,6 @@ sim::Co<Result<Resp>> KvFailoverProxy::WriteCall(std::uint32_t method,
     if (raw.ok()) {
       last_write_acker_ = primary.object;
       outcome = serde::DecodeFromBytes<Resp>(View(raw.payload));
-      done = true;
       break;
     }
     const StatusCode code = raw.status.code();
@@ -1276,7 +1306,6 @@ sim::Co<Result<Resp>> KvFailoverProxy::WriteCall(std::uint32_t method,
     if (code != StatusCode::kTimeout && code != StatusCode::kUnavailable &&
         code != StatusCode::kFenced) {
       outcome = raw.status;
-      done = true;
       break;
     }
     if (code == StatusCode::kFenced) {
@@ -1288,9 +1317,11 @@ sim::Co<Result<Resp>> KvFailoverProxy::WriteCall(std::uint32_t method,
       attempted = true;
     }
   }
-  if (!done) outcome = verdict;
-  spans.End(span, context().scheduler().now(), outcome.status());
-  co_return outcome;
+  // Every pass either failed its list fetch or its attempt, so a write
+  // that settled nothing always has a verdict.
+  if (!outcome) outcome = std::move(verdict);
+  spans.End(span, context().scheduler().now(), outcome->status());
+  co_return std::move(*outcome);
 }
 
 sim::Co<Result<std::optional<std::string>>> KvFailoverProxy::Get(

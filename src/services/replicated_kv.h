@@ -7,7 +7,7 @@
 //
 //   server side   Symmetric KvReplica objects, one per node. At any
 //                 instant one of them is the primary: it applies writes
-//                 locally and mirrors them synchronously to every other
+//                 locally and mirrors them concurrently to every other
 //                 *active* replica (primary-backup, write-all/read-one)
 //                 under a monotonically increasing **epoch**. The
 //                 primary holds the service name under a leased
@@ -321,7 +321,8 @@ class KvReplica : public IKeyValue,
   }
 
  private:
-  /// Mirrors one batch to every active peer. In named mode a peer that
+  /// Mirrors one batch to every active peer, all at once: the replies
+  /// join in active-set order. In named mode a peer that
   /// fails liveness is evicted under a bumped epoch and the batch is
   /// re-announced to the survivors; in static mode any failure fails the
   /// write (the strict write-all the PR-2 tests pin down). A FENCED
@@ -340,6 +341,15 @@ class KvReplica : public IKeyValue,
       std::vector<std::pair<std::string, std::string>> entries,
       std::vector<std::string> deletes, obs::TraceContext trace,
       std::uint64_t* ack_epoch = nullptr);
+
+  /// Starts one kReplicateBatch call carrying `req` to every replica of
+  /// `view` but this one, before any reply can arrive, and returns their
+  /// futures index-aligned with `view` (this replica's slot stays
+  /// empty). The batch is encoded once; the trace rides in the mirror
+  /// call options (replication fan-out propagation).
+  std::vector<sim::Future<rpc::RpcResult>> StartMirrorCalls(
+      const std::vector<core::ServiceBinding>& view,
+      const kvwire::ReplicateBatchRequest& req, obs::TraceContext trace);
 
   /// Sends `req` to `peer`, returns the raw outcome status. The trace
   /// rides in the mirror call options (replication fan-out propagation).

@@ -68,6 +68,16 @@ struct FailoverWorld {
   ReplicatedKvExport exp;
 };
 
+/// Lower bound on one mirror round trip of a 1-KiB value over `link`:
+/// the request cannot arrive before the value's bits are on the wire and
+/// have propagated, and the ack needs at least the propagation delay
+/// back. Frame headers and the local apply only add to it.
+SimDuration MirrorRoundTripFloor(const sim::LinkParams& link) {
+  const auto transmit =
+      static_cast<SimDuration>(1024 * 8 / link.bandwidth_bps * 1e9);
+  return 2 * link.latency + transmit;
+}
+
 TEST(ReplicationFailover, CrashPromotesBackupWithinLeaseTtl) {
   FailoverWorld fw;
   auto kv = proxy::testing::AcquireByName<IKeyValue>(fw.w, *fw.w.client_ctx,
@@ -234,6 +244,101 @@ TEST(ReplicationFailover, PartitionedPrimaryStepsDownNoSplitBrain) {
     EXPECT_EQ(got->value(), "v1");
   };
   fw.w.Run(after);
+}
+
+// --- the write-all join: mirror calls run concurrently --------------
+
+TEST(ReplicationFailover, MirrorFanOutCostsOneBackupRoundTrip) {
+  FailoverWorld fw;
+  sim::Network& net = fw.w.rt->network();
+  const SimDuration one_trip =
+      MirrorRoundTripFloor(net.link_params(fw.n1, fw.n2));
+  ASSERT_EQ(one_trip, MirrorRoundTripFloor(net.link_params(fw.n1, fw.n3)));
+  SimDuration took = 0;
+  auto put = [&]() -> sim::Co<void> {
+    const SimTime t0 = fw.w.rt->scheduler().now();
+    std::string value(1024, 'x');
+    Result<rpc::Void> written =
+        co_await fw.exp.primary->Put("k", std::move(value));
+    took = fw.w.rt->scheduler().now() - t0;
+    CO_ASSERT_OK(written);
+  };
+  fw.w.Run(put);
+  // Write-all still waited for an ack, but both backups' round trips ran
+  // at once: one mirrored after the other would take at least two.
+  EXPECT_GE(took, one_trip);
+  EXPECT_LT(took, 2 * one_trip);
+}
+
+TEST(ReplicationFailover, MirrorFanOutStillWaitsForTheSlowestBackup) {
+  FailoverWorld fw;
+  sim::Network& net = fw.w.rt->network();
+  sim::LinkParams slow = net.link_params(fw.n1, fw.n3);
+  // Slower than the healthy backup's whole round trip, but inside the
+  // first retransmission interval, so the slow ack is the first reply.
+  slow.latency = Milliseconds(2);
+  net.SetLink(fw.n1, fw.n3, slow);
+  const std::shared_ptr<KvReplica>& slow_backup = fw.exp.backup_impls[1];
+  SimDuration took = 0;
+  auto put = [&]() -> sim::Co<void> {
+    const SimTime t0 = fw.w.rt->scheduler().now();
+    std::string value(1024, 'y');
+    Result<rpc::Void> written =
+        co_await fw.exp.primary->Put("k", std::move(value));
+    took = fw.w.rt->scheduler().now() - t0;
+    CO_ASSERT_OK(written);
+    // Acknowledged means every active backup holds the write: the slow
+    // one applied it before its ack left.
+    Result<std::optional<std::string>> held =
+        co_await slow_backup->local()->Get("k");
+    CO_ASSERT_OK(held);
+    CO_ASSERT_TRUE(held->has_value());
+    EXPECT_EQ(**held, std::string(1024, 'y'));
+  };
+  fw.w.Run(put);
+  EXPECT_GE(took, MirrorRoundTripFloor(slow));
+  EXPECT_EQ(fw.exp.primary->role(), ReplicaRole::kPrimary);
+  EXPECT_EQ(fw.exp.primary->replication_failures(), 0u);
+}
+
+TEST(ReplicationFailover, FencedFirstBackupDeposesPrimaryWhileSecondAcks) {
+  FailoverWorld fw;
+  KvReplica& primary = *fw.exp.primary;
+  KvReplica& first = *fw.exp.backup_impls[0];
+  KvReplica& second = *fw.exp.backup_impls[1];
+  const std::uint64_t reign = primary.epoch();
+  const rpc::ClientStats& calls = fw.c1->client().stats();
+  Status outcome;
+  auto put = [&]() -> sim::Co<void> {
+    // The first backup in active-set order adopts a newer epoch with the
+    // same view, as a successor's announce would leave it; the second
+    // still serves the current reign.
+    kvwire::ReplicateBatchRequest ahead;
+    ahead.epoch = reign + 1;
+    ahead.replicas = {primary.self_binding(), first.self_binding(),
+                      second.self_binding()};
+    Result<rpc::Void> adopted = co_await first.HandleReplicateBatch(ahead);
+    CO_ASSERT_OK(adopted);
+    Result<rpc::Void> written = co_await primary.Put("k", "v");
+    outcome = written.status();
+  };
+  fw.w.Run(put);
+  EXPECT_EQ(outcome.code(), StatusCode::kFenced);
+  EXPECT_EQ(outcome.message(), "deposed: peer reports a newer epoch than " +
+                                   std::to_string(reign));
+  EXPECT_EQ(primary.role(), ReplicaRole::kBackup);
+  EXPECT_TRUE(primary.syncing());
+  EXPECT_EQ(first.fenced_rejections(), 1u);
+  EXPECT_EQ(second.fenced_rejections(), 0u);
+  EXPECT_EQ(second.epoch(), reign);
+
+  // The Put returned on the fence without joining the second backup's
+  // call; that call still settles through the client's pending table.
+  // Stop the background loops so no new call starts, then drain.
+  for (const auto& replica : fw.exp.replicas) replica->Stop();
+  fw.w.rt->scheduler().RunFor(Milliseconds(500));
+  EXPECT_EQ(calls.calls_started.value(),
+            calls.calls_ok.value() + calls.calls_failed.value());
 }
 
 }  // namespace
